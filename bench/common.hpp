@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,6 +59,37 @@ inline bool quick_mode() {
 
 inline TrialId scaled_trials(TrialId full) {
   return quick_mode() ? std::max<TrialId>(1'000, full / 10) : full;
+}
+
+/// Pins the host executors to the scalar reference kernel (RISKAN_SIMD=off)
+/// while alive and restores the previous setting on exit — the baseline
+/// side of the vector-kernel benches.
+class ScalarKernelScope {
+ public:
+  ScalarKernelScope() {
+    if (const char* old = std::getenv("RISKAN_SIMD")) {
+      saved_ = old;
+    }
+    ::setenv("RISKAN_SIMD", "off", 1);
+  }
+  ~ScalarKernelScope() {
+    if (saved_) {
+      ::setenv("RISKAN_SIMD", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("RISKAN_SIMD");
+    }
+  }
+  ScalarKernelScope(const ScalarKernelScope&) = delete;
+  ScalarKernelScope& operator=(const ScalarKernelScope&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+template <typename Run>
+auto on_scalar_kernel(const Run& run) {
+  const ScalarKernelScope scalar;
+  return run();
 }
 
 /// Resolves the directory bench artifacts land in: $RISKAN_BENCH_CSV_DIR

@@ -53,7 +53,7 @@
 namespace riskan::core::batch {
 
 /// Lane-utilization telemetry of simd kernel invocations, published by the
-/// SimdExecutor as exec.simd.* counters.
+/// host executors as exec.simd.* counters.
 struct SimdStats {
   std::uint64_t vector_occurrences = 0;  ///< processed in full W-wide chunks
   std::uint64_t tail_occurrences = 0;    ///< scalar sub-width remainders
@@ -73,27 +73,17 @@ struct SimdStats {
 
 /// Shared signature of the per-ISA kernels: process_trials' arguments plus
 /// the stats sink (chunk scratch lives on the kernel's own stack).
-using SimdKernelFn = std::uint64_t (*)(std::span<const Slot> slots,
-                                       std::span<const Group> groups,
-                                       std::span<const std::uint64_t> yelt_offsets,
-                                       const Philox4x32& philox, bool secondary,
-                                       TrialId trial_base, TrialId lo, TrialId hi,
-                                       std::span<Money> annual_scratch, SimdStats& stats);
+using SimdKernel = std::uint64_t(std::span<const Slot> slots, std::span<const Group> groups,
+                                 std::span<const std::uint64_t> yelt_offsets,
+                                 const Philox4x32& philox, bool secondary,
+                                 TrialId trial_base, TrialId lo, TrialId hi,
+                                 std::span<Money> annual_scratch, SimdStats& stats);
+using SimdKernelFn = SimdKernel*;
 
 // Per-ISA kernels; each is defined only when its RISKAN_SIMD_* macro is
 // compiled in (exec::simd_dispatch() is the only referent).
-std::uint64_t process_trials_simd_avx2(std::span<const Slot> slots,
-                                       std::span<const Group> groups,
-                                       std::span<const std::uint64_t> yelt_offsets,
-                                       const Philox4x32& philox, bool secondary,
-                                       TrialId trial_base, TrialId lo, TrialId hi,
-                                       std::span<Money> annual_scratch, SimdStats& stats);
-std::uint64_t process_trials_simd_neon(std::span<const Slot> slots,
-                                       std::span<const Group> groups,
-                                       std::span<const std::uint64_t> yelt_offsets,
-                                       const Philox4x32& philox, bool secondary,
-                                       TrialId trial_base, TrialId lo, TrialId hi,
-                                       std::span<Money> annual_scratch, SimdStats& stats);
+SimdKernel process_trials_simd_avx2;
+SimdKernel process_trials_simd_neon;
 
 /// Vectorized finance::apply_occurrence over a contiguous ground-up buffer,
 /// dispatched like the kernel (scalar loop when no ISA is active). The

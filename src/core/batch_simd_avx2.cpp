@@ -4,8 +4,9 @@
 // loaded, so a null/short means column is safe exactly where the scalar
 // kernel would not have touched it either).
 //
-// This TU is compiled with -mavx2 (set per-source by RISKAN_ENABLE_SIMD);
-// everything here lives behind the runtime dispatch in core/simd.cpp, and
+// This TU is compiled with -mavx2 (set per-source by CMake when the
+// compiler accepts it); everything here lives behind the runtime dispatch
+// in core/simd.cpp, and
 // the scalar helpers it calls (sampling, trial finish, the fallback
 // kernel) are extern functions compiled with the portable baseline flags —
 // no templated library code is instantiated under the wider ISA.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
 #include <utility>
 
 #include "core/secondary.hpp"
@@ -148,125 +147,106 @@ void plan_device_chunks(ExecutionPlan& plan, const EngineConfig& config) {
   close();
 }
 
-class SequentialExecutor final : public Executor {
- public:
-  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
-    static const ExecObs metrics("sequential");
-    obs::Timer timer("exec.sequential");
-    std::vector<Money> scratch(plan.max_group_size);
-    const std::uint64_t found =
-        batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox,
-                              plan.secondary, plan.trial_base, 0, plan.trials, scratch);
-    metrics.executions.add();
-    metrics.seconds.observe(timer.stop());
-    return found;
+/// What one kernel call over a trial range returns: the found-lookup count
+/// plus the lane telemetry (integer tallies, so chunk order is irrelevant).
+struct KernelTally {
+  std::uint64_t found = 0;
+  batch::SimdStats stats;
+
+  KernelTally& operator+=(const KernelTally& o) noexcept {
+    found += o.found;
+    stats += o.stats;
+    return *this;
   }
 };
 
-class ThreadedExecutor final : public Executor {
+/// Sequential (inline, pool-free) or Threaded (parallel_reduce over trial
+/// chunks) on the dispatched kernel — see exec.hpp. The dispatch is
+/// resolved once per executor and published per execution: the gauge
+/// exec.simd.width (0 = scalar), one exec.simd.isa.<scalar|avx2|neon>
+/// counter tick plus a trace instant of the same name, and the lane
+/// counters exec.simd.{vector,tail,scalar}_occurrences and
+/// exec.simd.sampler.{fast,tail}.
+class HostExecutor final : public Executor {
  public:
-  ThreadedExecutor(ThreadPool* pool, std::size_t grain) : pool_(pool), grain_(grain) {}
+  HostExecutor(bool threaded, ThreadPool* pool, std::size_t grain)
+      : threaded_(threaded), pool_(pool), grain_(grain), dispatch_(simd_dispatch()) {}
 
   std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
-    static const ExecObs metrics("threaded");
-    obs::Timer timer("exec.threaded");
-    const std::uint64_t found = parallel_reduce<std::uint64_t>(
-        0, plan.trials, 0,
-        [&](std::size_t lo, std::size_t hi) {
-          std::vector<Money> scratch(plan.max_group_size);
-          return batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox,
-                                       plan.secondary, plan.trial_base,
-                                       static_cast<TrialId>(lo), static_cast<TrialId>(hi),
-                                       scratch);
-        },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; },
-        ParallelConfig{pool_, grain_});
+    static const ExecObs sequential_metrics("sequential");
+    static const ExecObs threaded_metrics("threaded");
+    const ExecObs& metrics = threaded_ ? threaded_metrics : sequential_metrics;
+    obs::Timer timer(threaded_ ? "exec.threaded" : "exec.sequential");
+    const auto chunk = [&](std::size_t lo, std::size_t hi) {
+      return run(plan, philox, static_cast<TrialId>(lo), static_cast<TrialId>(hi));
+    };
+    const KernelTally tally =
+        threaded_ ? parallel_reduce<KernelTally>(
+                        0, plan.trials, KernelTally{}, chunk,
+                        [](KernelTally a, const KernelTally& b) { return a += b; },
+                        ParallelConfig{pool_, grain_})
+                  : chunk(0, plan.trials);
+    publish(tally.stats);
     metrics.executions.add();
     metrics.seconds.observe(timer.stop());
-    return found;
+    return tally.found;
   }
 
  private:
-  ThreadPool* pool_;
-  std::size_t grain_;
-};
-
-/// The vectorized trial kernel on the runtime-dispatched ISA
-/// (core/batch_simd.hpp). Backend::Simd runs the whole range inline on the
-/// caller's thread — pool-free, so it can substitute for Sequential
-/// anywhere (dist workers use it); Backend::ThreadedSimd reuses the
-/// Threaded trial-chunk partition with a per-chunk scratch set. Lane
-/// utilization and the dispatched width are published as exec.simd.*.
-class SimdExecutor final : public Executor {
- public:
-  SimdExecutor(const EngineConfig& config, bool threaded)
-      : pool_(config.pool),
-        grain_(config.trial_grain),
-        threaded_(threaded),
-        dispatch_(simd_dispatch()) {}
-
-  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
-    static const ExecObs simd_metrics("simd");
-    static const ExecObs threaded_metrics("threaded-simd");
-    static const obs::Gauge width_gauge =
-        obs::MetricsRegistry::global().gauge("exec.simd.width");
-    static const obs::Counter vector_occ =
-        obs::MetricsRegistry::global().counter("exec.simd.vector_occurrences");
-    static const obs::Counter tail_occ =
-        obs::MetricsRegistry::global().counter("exec.simd.tail_occurrences");
-    static const obs::Counter scalar_occ =
-        obs::MetricsRegistry::global().counter("exec.simd.scalar_occurrences");
-    static const obs::Counter sampler_fast =
-        obs::MetricsRegistry::global().counter("exec.simd.sampler.fast");
-    static const obs::Counter sampler_tail =
-        obs::MetricsRegistry::global().counter("exec.simd.sampler.tail");
-    // validate_engine_config rejected unavailable dispatches at config
-    // time; this guards executors constructed around it.
-    RISKAN_REQUIRE(dispatch_.kernel != nullptr,
-                   "Simd executor without a usable vector ISA");
-    const ExecObs& metrics = threaded_ ? threaded_metrics : simd_metrics;
-    obs::Timer timer(threaded_ ? "exec.threaded-simd" : "exec.simd");
-    width_gauge.set(dispatch_.width);
-
-    batch::SimdStats stats;
-    std::uint64_t found = 0;
-    if (!threaded_) {
-      std::vector<Money> annual_scratch(plan.max_group_size);
-      found = dispatch_.kernel(plan.slots, plan.groups, plan.yelt_offsets, philox,
-                               plan.secondary, plan.trial_base, 0, plan.trials,
-                               annual_scratch, stats);
-    } else {
-      std::mutex stats_mutex;
-      found = parallel_reduce<std::uint64_t>(
-          0, plan.trials, 0,
-          [&](std::size_t lo, std::size_t hi) {
-            std::vector<Money> annual_scratch(plan.max_group_size);
-            batch::SimdStats chunk_stats;
-            const std::uint64_t chunk_found = dispatch_.kernel(
-                plan.slots, plan.groups, plan.yelt_offsets, philox, plan.secondary,
-                plan.trial_base, static_cast<TrialId>(lo), static_cast<TrialId>(hi),
-                annual_scratch, chunk_stats);
-            const std::lock_guard lock(stats_mutex);
-            stats += chunk_stats;
-            return chunk_found;
-          },
-          [](std::uint64_t a, std::uint64_t b) { return a + b; },
-          ParallelConfig{pool_, grain_});
+  KernelTally run(const ExecutionPlan& plan, const Philox4x32& philox, TrialId lo,
+                  TrialId hi) const {
+    KernelTally tally;
+    if (lo == hi) {
+      return tally;  // an empty YELT may carry no offsets to index
     }
+    std::vector<Money> scratch(plan.max_group_size);
+    if (dispatch_.kernel != nullptr) {
+      tally.found = dispatch_.kernel(plan.slots, plan.groups, plan.yelt_offsets, philox,
+                                     plan.secondary, plan.trial_base, lo, hi, scratch,
+                                     tally.stats);
+      return tally;
+    }
+    tally.found = batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox,
+                                        plan.secondary, plan.trial_base, lo, hi, scratch);
+    // Counted per group, as the vector kernel counts its scalar fallback.
+    for (const batch::Group& group : plan.groups) {
+      const batch::Slot& lead = plan.slots[group.begin];
+      tally.stats.scalar_occurrences += lead.gather == batch::Gather::Compact
+                                            ? lead.hit_offsets[hi] - lead.hit_offsets[lo]
+                                            : plan.yelt_offsets[hi] - plan.yelt_offsets[lo];
+    }
+    return tally;
+  }
+
+  void publish(const batch::SimdStats& stats) const {
+    auto& registry = obs::MetricsRegistry::global();
+    // Indexed by SimdIsa: None, Avx2, Neon.
+    static const char* const kIsa[] = {"exec.simd.isa.scalar", "exec.simd.isa.avx2",
+                                       "exec.simd.isa.neon"};
+    static const obs::Counter isa_runs[] = {registry.counter(kIsa[0]), registry.counter(kIsa[1]),
+                                            registry.counter(kIsa[2])};
+    static const std::uint32_t isa_marks[] = {obs::span_id(kIsa[0]), obs::span_id(kIsa[1]),
+                                              obs::span_id(kIsa[2])};
+    static const obs::Gauge width = registry.gauge("exec.simd.width");
+    static const obs::Counter vector_occ = registry.counter("exec.simd.vector_occurrences");
+    static const obs::Counter tail_occ = registry.counter("exec.simd.tail_occurrences");
+    static const obs::Counter scalar_occ = registry.counter("exec.simd.scalar_occurrences");
+    static const obs::Counter sampler_fast = registry.counter("exec.simd.sampler.fast");
+    static const obs::Counter sampler_tail = registry.counter("exec.simd.sampler.tail");
+    const auto isa = static_cast<std::size_t>(dispatch_.isa);
+    isa_runs[isa].add();
+    obs::trace_instant(isa_marks[isa]);
+    width.set(dispatch_.width);
     vector_occ.add(static_cast<double>(stats.vector_occurrences));
     tail_occ.add(static_cast<double>(stats.tail_occurrences));
     scalar_occ.add(static_cast<double>(stats.scalar_occurrences));
     sampler_fast.add(static_cast<double>(stats.sampler_fast));
     sampler_tail.add(static_cast<double>(stats.sampler_tail));
-    metrics.executions.add();
-    metrics.seconds.observe(timer.stop());
-    return found;
   }
 
- private:
+  bool threaded_;
   ThreadPool* pool_;
   std::size_t grain_;
-  bool threaded_;
   SimdDispatch dispatch_;
 };
 
@@ -670,15 +650,12 @@ void ExecutionPlan::rebind(std::span<const batch::Slot> new_slots,
 std::unique_ptr<Executor> make_executor(const EngineConfig& config) {
   switch (config.backend) {
     case Backend::Sequential:
-      return std::make_unique<SequentialExecutor>();
+      return std::make_unique<HostExecutor>(/*threaded=*/false, nullptr, 0);
     case Backend::Threaded:
-      return std::make_unique<ThreadedExecutor>(config.pool, config.trial_grain);
+      return std::make_unique<HostExecutor>(/*threaded=*/true, config.pool,
+                                            config.trial_grain);
     case Backend::DeviceSim:
       return std::make_unique<DeviceSimExecutor>(config);
-    case Backend::Simd:
-      return std::make_unique<SimdExecutor>(config, /*threaded=*/false);
-    case Backend::ThreadedSimd:
-      return std::make_unique<SimdExecutor>(config, /*threaded=*/true);
   }
   RISKAN_REQUIRE(false, "unknown backend");
   return nullptr;

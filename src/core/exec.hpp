@@ -15,24 +15,24 @@
 //       backend-independent except for that residency planning.
 //
 //   Executor — where the plan runs:
-//       SequentialExecutor — the whole range inline on the caller's
-//           thread; never touches a pool (MapReduce map tasks run from
-//           pool workers and rely on this).
-//       ThreadedExecutor — parallel_reduce over trial chunks
-//           (EngineConfig::trial_grain is the chunk knob).
-//       SimdExecutor — the vectorized trial kernel (core/batch_simd.hpp)
-//           on the runtime-dispatched ISA (core/simd.hpp); Backend::Simd
-//           runs the whole range inline (pool-free, like Sequential),
-//           Backend::ThreadedSimd composes the same kernel with the
-//           Threaded trial-chunk partition.
+//       HostExecutor — Sequential (the whole range inline on the caller's
+//           thread; never touches a pool, which MapReduce map tasks and
+//           dist workers rely on) or Threaded (parallel_reduce over
+//           EngineConfig::trial_grain trial chunks). Both run the
+//           vectorized trial kernel (core/batch_simd.hpp) on the
+//           runtime-dispatched ISA (core/simd.hpp) and fall back to
+//           batch::process_trials when no ISA is active (RISKAN_SIMD=off,
+//           or a host without one); the kernels are bit-identical, so the
+//           dispatch is not a user choice.
 //       DeviceSimExecutor — one kernel launch per residency chunk on the
 //           simulated many-core device (src/parallel/device.hpp): grid of
 //           device_block_dim-trial blocks, each block staging its slot
 //           column slices into the 48 KiB shared-memory arena when they
 //           fit and running process_trials over its trial range against
-//           constant-memory-resident ELT tables. Traffic is metered per
-//           access class and fed to the calibrated performance model
-//           (DeviceRunInfo). Because residency is per *source* rather
+//           constant-memory-resident ELT tables (always the scalar kernel:
+//           it models a GPU, not the host's vector units). Traffic is
+//           metered per access class and fed to the calibrated performance
+//           model (DeviceRunInfo). Because residency is per *source* rather
 //           than per layer, batched books and scenario sweeps ride the
 //           device like any other plan — the old "one layer's ELT chunk
 //           at a time" constraint is gone.

@@ -8,27 +8,22 @@
 
 namespace riskan::core {
 
-namespace {
-
-std::vector<double> sorted_losses(const data::YearLossTable& ylt) {
-  const auto losses = ylt.losses();
-  std::vector<double> sorted(losses.begin(), losses.end());
-  std::sort(sorted.begin(), sorted.end());
-  return sorted;
-}
-
-}  // namespace
+// VaR, TVaR and EP curves read only a few order statistics, so they select
+// them (util/stats.hpp) in a copy instead of sorting it; summarise() keeps the
+// full sort, since its OnlineStats pass consumes the losses in sorted order.
 
 Money value_at_risk(const data::YearLossTable& ylt, double p) {
   RISKAN_REQUIRE(!ylt.empty(), "VaR of an empty YLT");
-  const auto sorted = sorted_losses(ylt);
-  return quantile_sorted(sorted, p);
+  std::vector<double> selected(ylt.losses().begin(), ylt.losses().end());
+  select_quantiles(selected, {&p, 1});
+  return quantile_sorted(selected, p);
 }
 
 Money tail_value_at_risk(const data::YearLossTable& ylt, double p) {
   RISKAN_REQUIRE(!ylt.empty(), "TVaR of an empty YLT");
-  const auto sorted = sorted_losses(ylt);
-  return tail_mean_above(sorted, p);
+  std::vector<double> tail(ylt.losses().begin(), ylt.losses().end());
+  select_upper_tail(tail, p);
+  return tail_mean_above(tail, p);
 }
 
 Money probable_maximum_loss(const data::YearLossTable& ylt, double return_period_years) {
@@ -39,16 +34,17 @@ Money probable_maximum_loss(const data::YearLossTable& ylt, double return_period
 std::vector<EpPoint> exceedance_curve(const data::YearLossTable& ylt,
                                       std::span<const double> return_periods) {
   RISKAN_REQUIRE(!ylt.empty(), "EP curve of an empty YLT");
-  const auto sorted = sorted_losses(ylt);
   std::vector<EpPoint> curve;
-  curve.reserve(return_periods.size());
+  std::vector<double> levels;
   for (const double rp : return_periods) {
     RISKAN_REQUIRE(rp > 1.0, "return periods must exceed 1 year");
-    EpPoint point;
-    point.return_period_years = rp;
-    point.exceedance_probability = 1.0 / rp;
-    point.loss = quantile_sorted(sorted, 1.0 - 1.0 / rp);
-    curve.push_back(point);
+    curve.push_back({rp, 1.0 / rp, 0.0});
+    levels.push_back(1.0 - 1.0 / rp);
+  }
+  std::vector<double> selected(ylt.losses().begin(), ylt.losses().end());
+  select_quantiles(selected, levels);
+  for (std::size_t i = 0; i < curve.size(); ++i) {
+    curve[i].loss = quantile_sorted(selected, levels[i]);
   }
   return curve;
 }
@@ -59,7 +55,8 @@ std::vector<double> standard_return_periods() {
 
 RiskSummary summarise(const data::YearLossTable& ylt) {
   RISKAN_REQUIRE(!ylt.empty(), "summary of an empty YLT");
-  const auto sorted = sorted_losses(ylt);
+  std::vector<double> sorted(ylt.losses().begin(), ylt.losses().end());
+  std::sort(sorted.begin(), sorted.end());
 
   OnlineStats stats;
   for (const double loss : sorted) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "util/require.hpp"
 
@@ -75,6 +76,52 @@ double quantile_sorted(std::span<const double> sorted, double p) {
   }
   const double frac = h - static_cast<double>(idx);
   return sorted[idx] + frac * (sorted[idx + 1] - sorted[idx]);
+}
+
+namespace {
+
+/// The lower order statistic quantile_sorted(·, p) reads over n values
+/// (the same expression it evaluates).
+std::size_t quantile_floor_index(std::size_t n, double p) {
+  RISKAN_REQUIRE(p >= 0.0 && p <= 1.0, "quantile level must lie in [0,1]");
+  return static_cast<std::size_t>(p * static_cast<double>(n - 1));
+}
+
+}  // namespace
+
+void select_quantiles(std::span<double> values, std::span<const double> levels) {
+  const std::size_t n = values.size();
+  if (n < 2) {
+    return;
+  }
+  std::vector<std::size_t> ranks;
+  ranks.reserve(2 * levels.size());
+  for (const double p : levels) {
+    const std::size_t idx = quantile_floor_index(n, p);
+    ranks.push_back(idx);
+    if (idx + 1 < n) {
+      ranks.push_back(idx + 1);
+    }
+  }
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  // Each selection leaves everything above rank k in (k, n), so the next,
+  // larger rank only needs to search that suffix.
+  auto first = values.begin();
+  for (const std::size_t k : ranks) {
+    std::nth_element(first, values.begin() + static_cast<std::ptrdiff_t>(k), values.end());
+    first = values.begin() + static_cast<std::ptrdiff_t>(k + 1);
+  }
+}
+
+void select_upper_tail(std::span<double> values, double p) {
+  if (values.size() < 2) {
+    return;
+  }
+  const auto nth =
+      values.begin() + static_cast<std::ptrdiff_t>(quantile_floor_index(values.size(), p));
+  std::nth_element(values.begin(), nth, values.end());
+  std::sort(nth + 1, values.end());
 }
 
 double tail_mean_above(std::span<const double> sorted, double p) {

@@ -48,6 +48,17 @@ double quantile_sorted(std::span<const double> sorted, double p);
 /// block of TVaR. Returns the quantile itself when no value exceeds it.
 double tail_mean_above(std::span<const double> sorted, double p);
 
+/// Selection instead of a full sort: partially orders `values` in place so
+/// that quantile_sorted(values, p) reads exactly what it would read from a
+/// fully sorted copy, for every p in `levels` (chained nth_element, O(n)
+/// per order statistic). Bit-identical as long as equal values share one
+/// bit pattern — no NaN, no -0.0 beside +0.0; loss samples qualify.
+void select_quantiles(std::span<double> values, std::span<const double> levels);
+
+/// As select_quantiles for one level p, also making tail_mean_above(values,
+/// p) exact: nth_element at p's floor index, then a sort of the tail only.
+void select_upper_tail(std::span<double> values, double p);
+
 /// Fixed-width histogram for diagnostics and distribution shape tests.
 class Histogram {
  public:

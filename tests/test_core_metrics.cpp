@@ -2,11 +2,18 @@
 // pricer and elasticity model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/elasticity.hpp"
 #include "core/metrics.hpp"
 #include "core/pricer.hpp"
+#include "finance/premium.hpp"
+#include "util/stats.hpp"
 #include "util/prng.hpp"
 #include "util/require.hpp"
 
@@ -252,6 +259,128 @@ TEST(Elasticity, RejectsBadInputs) {
   demand.units_per_core_second = 1.0;
   demand.deadline_seconds = 0.0;
   EXPECT_THROW((void)processors_required(demand), ContractViolation);
+}
+
+// ---------------------------------------------------------------------------
+// Tail statistics by selection: bit-identical to the full-sort reference
+// ---------------------------------------------------------------------------
+
+/// Named loss samples covering the selection edge cases: random values,
+/// heavy ties, >= 99% zeros, and the tiny sizes n = 1, 2, 100. Losses are
+/// non-negative, so -0.0 never appears.
+std::vector<std::pair<std::string, std::vector<double>>> selection_samples() {
+  std::vector<std::pair<std::string, std::vector<double>>> samples;
+  SplitMix64 rng(4242);
+  const auto uniform = [&rng] { return to_unit_double(rng()); };
+
+  std::vector<double> random(40'000);
+  for (double& x : random) {
+    x = 1e7 * uniform() * uniform();
+  }
+  samples.emplace_back("random", random);
+
+  std::vector<double> ties(10'007);
+  constexpr double kLevels[] = {0.0, 1e5, 2e5, 5e5, 5e5, 1e6};
+  for (double& x : ties) {
+    x = kLevels[rng() % 6];
+  }
+  samples.emplace_back("ties", ties);
+
+  std::vector<double> zeros(40'000, 0.0);
+  for (int i = 0; i < 300; ++i) {  // 99.25% zeros
+    zeros[rng() % zeros.size()] = 1e6 * uniform();
+  }
+  samples.emplace_back("zeros", zeros);
+
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{100}}) {
+    std::vector<double> small(n);
+    for (double& x : small) {
+      x = 1e6 * uniform();
+    }
+    samples.emplace_back("n=" + std::to_string(n), small);
+  }
+  return samples;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(TailSelection, SummariseLossesMatchesFullSort) {
+  for (const auto& [name, losses] : selection_samples()) {
+    OnlineStats stats;
+    for (const double x : losses) {
+      stats.add(x);
+    }
+    std::vector<double> sorted = losses;
+    std::sort(sorted.begin(), sorted.end());
+
+    const auto got = finance::summarise_losses(losses);
+    EXPECT_EQ(bits(got.expected_loss), bits(stats.mean())) << name;
+    EXPECT_EQ(bits(got.loss_stdev), bits(std::sqrt(stats.sample_variance()))) << name;
+    EXPECT_EQ(bits(got.tvar_99), bits(tail_mean_above(sorted, 0.99))) << name;
+  }
+}
+
+TEST(TailSelection, ExceedanceCurveAndVarMatchFullSort) {
+  // Standard return periods plus unsorted, repeated ones and 1e300, whose
+  // level rounds to exactly 1.0 — the order statistic at index n - 1.
+  std::vector<double> periods = standard_return_periods();
+  periods.insert(periods.end(), {1000.0, 1.5, 2.0, 1e300, 7.0});
+  for (const auto& [name, losses] : selection_samples()) {
+    std::vector<double> sorted = losses;
+    std::sort(sorted.begin(), sorted.end());
+    const data::YearLossTable ylt(losses, name);
+
+    const auto curve = exceedance_curve(ylt, periods);
+    ASSERT_EQ(curve.size(), periods.size());
+    for (std::size_t i = 0; i < periods.size(); ++i) {
+      const double p = 1.0 - 1.0 / periods[i];
+      EXPECT_EQ(bits(curve[i].loss), bits(quantile_sorted(sorted, p)))
+          << name << " rp=" << periods[i];
+      EXPECT_EQ(bits(value_at_risk(ylt, p)), bits(quantile_sorted(sorted, p)))
+          << name << " VaR p=" << p;
+    }
+    for (const double p : {0.0, 0.5, 0.99, 0.996, 1.0}) {
+      EXPECT_EQ(bits(tail_value_at_risk(ylt, p)), bits(tail_mean_above(sorted, p)))
+          << name << " TVaR p=" << p;
+    }
+  }
+}
+
+TEST(TailSelection, SelectedPositionsHoldTheSortedValues) {
+  // The helpers' own contract: the positions the sorted-input readers touch
+  // carry exactly the fully sorted values, including index n - 1 (p = 1).
+  for (const auto& [name, losses] : selection_samples()) {
+    std::vector<double> sorted = losses;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t n = losses.size();
+
+    for (const double p : {0.0, 0.37, 0.99, 1.0}) {
+      std::vector<double> tail = losses;
+      select_upper_tail(tail, p);
+      const auto idx = static_cast<std::size_t>(p * static_cast<double>(n - 1));
+      for (std::size_t k = idx; k < n; ++k) {
+        ASSERT_EQ(bits(tail[k]), bits(sorted[k])) << name << " p=" << p << " k=" << k;
+      }
+    }
+
+    const std::vector<double> levels = {0.999, 0.5, 1.0, 0.8, 0.5};
+    std::vector<double> selected = losses;
+    select_quantiles(selected, levels);
+    for (const double p : levels) {
+      const auto idx = static_cast<std::size_t>(p * static_cast<double>(n - 1));
+      EXPECT_EQ(bits(selected[idx]), bits(sorted[idx])) << name << " p=" << p;
+      if (idx + 1 < n) {
+        EXPECT_EQ(bits(selected[idx + 1]), bits(sorted[idx + 1])) << name << " p=" << p;
+      }
+    }
+  }
+}
+
+TEST(TailSelection, RejectsLevelsOutsideTheUnitInterval) {
+  std::vector<double> values = {3.0, 1.0, 2.0};
+  EXPECT_THROW(select_upper_tail(values, 1.5), ContractViolation);
+  const std::vector<double> bad = {-0.1};
+  EXPECT_THROW(select_quantiles(values, bad), ContractViolation);
 }
 
 }  // namespace

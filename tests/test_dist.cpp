@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/aggregate_engine.hpp"
-#include "core/simd.hpp"
 #include "data/serialize.hpp"
 #include "data/trial_source.hpp"
 #include "dist/coordinator.hpp"
@@ -24,6 +23,7 @@
 #include "util/bytes.hpp"
 #include "util/io_error.hpp"
 #include "util/require.hpp"
+#include "kernel_support.hpp"
 
 namespace riskan::dist {
 namespace {
@@ -33,7 +33,7 @@ struct DistWorld {
   data::YearEventLossTable yelt;
   std::vector<std::vector<std::byte>> encoded;
   std::vector<BlockSpec> specs;
-  std::vector<Money> reference;  ///< single-process portfolio losses
+  std::vector<Money> reference;  ///< single-process, scalar-kernel losses
 };
 
 constexpr TrialId kTrials = 640;
@@ -59,6 +59,9 @@ const DistWorld& world() {
       built.encoded.push_back(writer.buffer());
     }
 
+    // The scalar reference kernel: every distributed run, whose workers
+    // use the default (dispatched) kernel, must reproduce it.
+    const test_support::KernelScope scalar(true);
     core::EngineConfig engine;
     engine.backend = core::Backend::Sequential;
     engine.compute_oep = false;
@@ -160,27 +163,26 @@ TEST_P(DistRecovery, StalledWorkerBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Simd engine across the distribution runtime
+// Kernels across the distribution runtime
 // ---------------------------------------------------------------------------
 
-// A caller running Backend::Simd gets the vector kernel inside every forked
-// worker (the coordinator keeps Simd for workers — it is pool-free and
-// bit-identical — and only demotes pool-backed backends to Sequential), and
-// the fold must still reproduce the single-process Sequential reference
-// exactly. 0 workers covers the in-process fallback path under Simd.
-TEST(DistSimd, SimdEngineBitIdenticalAcrossWorkerCounts) {
-  if (!core::exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
-  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
-    DistConfig config;
-    config.workers = workers;
-    core::EngineConfig engine;
-    engine.backend = core::Backend::Simd;
-    const auto result = run_distributed_aggregate(world().portfolio, engine,
-                                                  world().specs, fetcher(), config);
-    expect_bit_identical(result.portfolio_ylt);
-    EXPECT_EQ(result.stats.blocks_total, world().specs.size());
+// Forked workers run Sequential, which dispatches the vector kernel, and the
+// fold must reproduce the single-process scalar reference exactly — as must
+// workers pinned to the scalar kernel (they inherit RISKAN_SIMD=off). 0
+// workers covers the in-process fallback path.
+TEST(DistKernels, DefaultAndScalarKernelsBitIdenticalAcrossWorkerCounts) {
+  (void)world();  // build the scalar reference first
+  for (const bool scalar : {false, true}) {
+    const test_support::KernelScope kernel(scalar);
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+      DistConfig config;
+      config.workers = workers;
+      const core::EngineConfig engine;
+      const auto result = run_distributed_aggregate(world().portfolio, engine,
+                                                    world().specs, fetcher(), config);
+      expect_bit_identical(result.portfolio_ylt);
+      EXPECT_EQ(result.stats.blocks_total, world().specs.size());
+    }
   }
 }
 

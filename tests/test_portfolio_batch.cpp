@@ -11,23 +11,16 @@
 
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
-#include "core/simd.hpp"
 #include "data/resolved_yelt.hpp"
 #include "finance/contract.hpp"
+#include "kernel_support.hpp"
 
 namespace riskan::core {
 namespace {
 
-/// Every host backend plus — when this build/host dispatches a wide ISA —
-/// the Simd pair, so the equivalence matrices grow the vectorized rows
-/// automatically on SIMD-enabled builds.
-std::vector<Backend> backends_with_simd() {
-  std::vector<Backend> backends(std::begin(kAllBackends), std::end(kAllBackends));
-  if (exec::simd_available()) {
-    backends.insert(backends.end(), std::begin(kSimdBackends), std::end(kSimdBackends));
-  }
-  return backends;
-}
+using test_support::engine_rows;
+using test_support::EngineRow;
+using test_support::KernelScope;
 
 finance::Portfolio book(std::size_t contracts, int layers, std::uint64_t seed = 99,
                         EventId catalog = 800, std::size_t elt_rows = 150) {
@@ -76,14 +69,22 @@ TEST(PortfolioBatch, BitIdenticalAcrossBackendsGrainsAndSecondary) {
   const auto yelt = lens(1'500);
 
   for (const bool secondary : {false, true}) {
-    for (const Backend backend : backends_with_simd()) {
+    // Every row must also reproduce the scalar reference kernel's run.
+    EngineConfig ref_config;
+    ref_config.backend = Backend::Sequential;
+    ref_config.secondary_uncertainty = secondary;
+    const auto reference = [&] {
+      const KernelScope scalar(true);
+      return run_aggregate_analysis(portfolio, yelt, ref_config);
+    }();
+    for (const EngineRow& row : engine_rows()) {
       for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
-        if (backend != Backend::Threaded && backend != Backend::ThreadedSimd &&
-            grain != 0) {
+        if (!row.chunked() && grain != 0) {
           continue;  // grain only affects the chunk-partitioned backends
         }
+        const KernelScope kernel(row.scalar);
         EngineConfig config;
-        config.backend = backend;
+        config.backend = row.backend;
         config.secondary_uncertainty = secondary;
         config.trial_grain = grain;
 
@@ -92,10 +93,10 @@ TEST(PortfolioBatch, BitIdenticalAcrossBackendsGrainsAndSecondary) {
         config.batch_contracts = true;
         const auto batched = run_aggregate_analysis(portfolio, yelt, config);
 
-        expect_identical(per_contract, batched,
-                         std::string(to_string(backend)) +
-                             (secondary ? "/secondary" : "/means") + "/grain=" +
-                             std::to_string(grain));
+        const std::string what = row.name() + (secondary ? "/secondary" : "/means") +
+                                 "/grain=" + std::to_string(grain);
+        expect_identical(reference, per_contract, what + " vs scalar reference");
+        expect_identical(per_contract, batched, what);
         EXPECT_EQ(per_contract.elt_lookups, batched.elt_lookups);
         EXPECT_EQ(per_contract.occurrences_processed, batched.occurrences_processed);
       }
@@ -148,14 +149,14 @@ TEST(PortfolioBatch, DegenerateSingleContractBatch) {
   const auto portfolio = book(/*contracts=*/1, /*layers=*/2);
   const auto yelt = lens(1'000);
 
-  for (const Backend backend : backends_with_simd()) {
+  for (const EngineRow& row : engine_rows()) {
+    const KernelScope kernel(row.scalar);
     EngineConfig config;
-    config.backend = backend;
+    config.backend = row.backend;
     config.batch_contracts = false;
     const auto per_contract = run_aggregate_analysis(portfolio, yelt, config);
     const auto batched = run_portfolio_batch(portfolio, yelt, config);
-    expect_identical(per_contract, batched,
-                     std::string("1-contract/") + to_string(backend));
+    expect_identical(per_contract, batched, "1-contract/" + row.name());
   }
 }
 
@@ -241,15 +242,19 @@ TEST(PortfolioBatch, RejectionHeavySecondaryBitIdenticalAcrossBackends) {
   config.secondary_uncertainty = true;
   config.backend = Backend::Sequential;
   config.batch_contracts = false;
-  const auto reference = run_aggregate_analysis(portfolio, yelt, config);
+  const auto reference = [&] {
+    const KernelScope scalar(true);
+    return run_aggregate_analysis(portfolio, yelt, config);
+  }();
 
-  for (const Backend backend : backends_with_simd()) {
-    config.backend = backend;
+  for (const EngineRow& row : engine_rows()) {
+    const KernelScope kernel(row.scalar);
+    config.backend = row.backend;
     for (const bool batched : {false, true}) {
       config.batch_contracts = batched;
       const auto result = run_aggregate_analysis(portfolio, yelt, config);
       expect_identical(reference, result,
-                       std::string("rejection-heavy/") + to_string(backend) +
+                       "rejection-heavy/" + row.name() +
                            (batched ? "/batched" : "/per-contract"));
     }
   }

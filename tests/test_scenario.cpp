@@ -20,13 +20,13 @@
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
 #include "core/post_event.hpp"
-#include "core/simd.hpp"
 #include "data/resolved_yelt.hpp"
 #include "finance/contract.hpp"
 #include "scenario/plan.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/sweep.hpp"
 #include "util/require.hpp"
+#include "kernel_support.hpp"
 
 namespace riskan::scenario {
 namespace {
@@ -77,16 +77,19 @@ void expect_identical(const core::EngineResult& a, const core::EngineResult& b,
 /// generated book, so exclusion scenarios change real losses.
 std::vector<EventId> busy_events() { return {1, 2, 3, 5, 8, 13, 21, 34, 55, 89}; }
 
-/// Every host backend plus the Simd pair when this build/host dispatches a
-/// wide ISA (mask scenarios exercise the vector kernel's scalar fallback).
-std::vector<core::Backend> backends_with_simd() {
-  std::vector<core::Backend> backends(std::begin(core::kAllBackends),
-                                      std::end(core::kAllBackends));
-  if (core::exec::simd_available()) {
-    backends.insert(backends.end(), std::begin(core::kSimdBackends),
-                    std::end(core::kSimdBackends));
-  }
-  return backends;
+using test_support::engine_rows;
+using test_support::EngineRow;
+using test_support::KernelScope;
+
+/// The scalar reference kernel's batched run — every matrix row, on every
+/// kernel, must reproduce it.
+core::EngineResult scalar_reference(const finance::Portfolio& portfolio,
+                                    const data::YearEventLossTable& yelt,
+                                    core::EngineConfig config) {
+  const KernelScope scalar(true);
+  config.backend = core::Backend::Sequential;
+  config.trial_grain = 0;
+  return core::run_portfolio_batch(portfolio, yelt, config);
 }
 
 TEST(ScenarioSweep, IdentityBitIdenticalAcrossBackendsGrainsAndSecondary) {
@@ -103,23 +106,26 @@ TEST(ScenarioSweep, IdentityBitIdenticalAcrossBackendsGrainsAndSecondary) {
   specs[2].excluded_events = busy_events();
 
   for (const bool secondary : {false, true}) {
-    for (const core::Backend backend : backends_with_simd()) {
+    core::EngineConfig ref_config;
+    ref_config.secondary_uncertainty = secondary;
+    const auto scalar_ref = scalar_reference(portfolio, yelt, ref_config);
+    for (const EngineRow& row : engine_rows()) {
       for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
-        if (backend != core::Backend::Threaded &&
-            backend != core::Backend::ThreadedSimd && grain != 0) {
+        if (!row.chunked() && grain != 0) {
           continue;  // grain only affects the chunk-partitioned backends
         }
+        const KernelScope kernel(row.scalar);
         core::EngineConfig config;
-        config.backend = backend;
+        config.backend = row.backend;
         config.secondary_uncertainty = secondary;
         config.trial_grain = grain;
 
         const auto reference = core::run_portfolio_batch(portfolio, yelt, config);
         const auto sweep = run_scenario_sweep(portfolio, yelt, specs, config);
 
-        const std::string what = std::string(core::to_string(backend)) +
-                                 (secondary ? "/secondary" : "/means") +
+        const std::string what = row.name() + (secondary ? "/secondary" : "/means") +
                                  "/grain=" + std::to_string(grain);
+        expect_identical(scalar_ref, reference, what + " vs scalar reference");
         expect_identical(reference, sweep.base, what + " base");
         expect_identical(reference, sweep.scenarios[0], what + " identity");
         // Every backend now lowers through the same plan, so the lookup
@@ -148,23 +154,23 @@ TEST(ScenarioSweep, MaskBitIdenticalToFilteredYeltAcrossBackendsGrainsAndSeconda
   specs[0].excluded_events = excluded;
 
   for (const bool secondary : {false, true}) {
-    for (const core::Backend backend : backends_with_simd()) {
+    core::EngineConfig ref_config;
+    ref_config.secondary_uncertainty = secondary;
+    const auto reference = scalar_reference(portfolio, filtered, ref_config);
+    for (const EngineRow& row : engine_rows()) {
       for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
-        if (backend != core::Backend::Threaded &&
-            backend != core::Backend::ThreadedSimd && grain != 0) {
+        if (!row.chunked() && grain != 0) {
           continue;
         }
+        const KernelScope kernel(row.scalar);
         core::EngineConfig config;
-        config.backend = backend;
+        config.backend = row.backend;
         config.secondary_uncertainty = secondary;
         config.trial_grain = grain;
 
-        const auto reference = core::run_portfolio_batch(portfolio, filtered, config);
         const auto sweep = run_scenario_sweep(portfolio, yelt, specs, config);
-
         expect_identical(reference, sweep.scenarios[0],
-                         std::string(core::to_string(backend)) +
-                             (secondary ? "/secondary" : "/means") +
+                         row.name() + (secondary ? "/secondary" : "/means") +
                              "/grain=" + std::to_string(grain) + " mask");
       }
     }
@@ -200,15 +206,17 @@ TEST(ScenarioSweep, MaskOnRejectionHeavyBookBitIdenticalToFilteredYelt) {
   specs[0].name = "mask";
   specs[0].excluded_events = excluded;
 
-  for (const core::Backend backend : backends_with_simd()) {
+  core::EngineConfig ref_config;
+  ref_config.secondary_uncertainty = true;
+  const auto reference = scalar_reference(portfolio, filtered, ref_config);
+  for (const EngineRow& row : engine_rows()) {
+    const KernelScope kernel(row.scalar);
     core::EngineConfig config;
-    config.backend = backend;
+    config.backend = row.backend;
     config.secondary_uncertainty = true;
 
-    const auto reference = core::run_portfolio_batch(portfolio, filtered, config);
     const auto sweep = run_scenario_sweep(portfolio, yelt, specs, config);
-    expect_identical(reference, sweep.scenarios[0],
-                     std::string("rejection-heavy mask/") + core::to_string(backend));
+    expect_identical(reference, sweep.scenarios[0], "rejection-heavy mask/" + row.name());
   }
 }
 

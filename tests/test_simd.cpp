@@ -1,17 +1,18 @@
-// SIMD backend — dispatch, validation and the bit-identity contract.
+// The vector kernel — dispatch and the scalar-vs-vector bit-identity
+// contract.
 //
-// The vectorized kernel is pure scheduling: Backend::Simd and
-// Backend::ThreadedSimd must reproduce Backend::Sequential to the bit
-// across the whole feature matrix (secondary sampling, OEP, batched and
-// per-contract entry points, grain sizes, lane tails). Hosts or builds
-// without a wide ISA reject the backends up front via
-// validate_engine_config — never silently run something else — which is
-// also what these tests rely on to skip the identity matrix gracefully
-// on scalar builds.
+// The host executors (Sequential, Threaded) run the dispatched vector
+// kernel by default; RISKAN_SIMD=off pins them to the scalar reference
+// kernel. The vector kernel is pure scheduling, so every output must match
+// the scalar reference to the bit across the feature matrix: secondary
+// sampling, OEP, batched and per-contract entry points, grain sizes, lane
+// tails, scenario sweeps, out-of-core streaming and the distribution
+// runtime. On hosts without a wide ISA both runs take the scalar kernel and
+// the suite degenerates to a determinism check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -19,44 +20,23 @@
 #include "core/portfolio_batch.hpp"
 #include "core/secondary.hpp"
 #include "core/simd.hpp"
+#include "core/streaming.hpp"
+#include "data/chunked_file.hpp"
 #include "data/elt.hpp"
+#include "data/serialize.hpp"
+#include "dist/coordinator.hpp"
 #include "finance/contract.hpp"
 #include "finance/terms.hpp"
+#include "kernel_support.hpp"
+#include "scenario/sweep.hpp"
+#include "util/bytes.hpp"
 #include "util/require.hpp"
 
 namespace riskan::core {
 namespace {
 
-/// Scoped environment override that restores the previous value on exit
-/// (simd_dispatch() re-reads the environment on every call).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
+using test_support::EnvGuard;
+using test_support::KernelScope;
 
 TEST(SimdDispatch, DecisionIsSelfConsistent) {
   const exec::SimdDispatch d = exec::simd_dispatch();
@@ -69,7 +49,7 @@ TEST(SimdDispatch, DecisionIsSelfConsistent) {
   } else {
     EXPECT_EQ(d.kernel, nullptr);
     EXPECT_EQ(d.isa, exec::SimdIsa::None);
-    EXPECT_STRNE(d.reason, "") << "rejection must carry a reason";
+    EXPECT_STRNE(d.reason, "") << "a scalar fallback must carry a reason";
   }
 }
 
@@ -85,7 +65,8 @@ TEST(SimdDispatch, EnvOffDisablesDispatch) {
 }
 
 TEST(SimdDispatch, EnvRequiringForeignIsaRejects) {
-  // Requiring the ISA this host does not dispatch must fail closed.
+  // Requiring the ISA this host does not dispatch falls back to the scalar
+  // kernel rather than running some other ISA.
   exec::SimdDispatch base;
   {
     EnvGuard guard("RISKAN_SIMD", nullptr);
@@ -97,48 +78,6 @@ TEST(SimdDispatch, EnvRequiringForeignIsaRejects) {
   const exec::SimdDispatch d = exec::simd_dispatch();
   EXPECT_EQ(d.width, 0u);
   EXPECT_EQ(d.kernel, nullptr);
-}
-
-TEST(SimdDispatch, ValidationRejectsSimdBackendWhenUnavailable) {
-  finance::PortfolioGenConfig pg;
-  pg.contracts = 1;
-  pg.catalog_events = 100;
-  pg.elt_rows = 30;
-  const auto portfolio = finance::generate_portfolio(pg);
-  data::YeltGenConfig yg;
-  yg.trials = 50;
-  const auto yelt = data::generate_yelt(100, yg);
-
-  // RISKAN_SIMD=off makes the backend unavailable on every build, so the
-  // rejection path is exercised on SIMD-enabled hosts too.
-  EnvGuard guard("RISKAN_SIMD", "off");
-  for (const Backend backend : kSimdBackends) {
-    EngineConfig config;
-    config.backend = backend;
-    EXPECT_THROW((void)run_aggregate_analysis(portfolio, yelt, config),
-                 ContractViolation)
-        << to_string(backend);
-  }
-}
-
-TEST(SimdDispatch, ScalarBuildAlwaysRejectsSimdBackend) {
-  const exec::SimdDispatch d = exec::simd_dispatch();
-  if (d.compiled) {
-    GTEST_SKIP() << "wide kernels compiled in; covered by the env-off test";
-  }
-  finance::PortfolioGenConfig pg;
-  pg.contracts = 1;
-  pg.catalog_events = 100;
-  pg.elt_rows = 30;
-  const auto portfolio = finance::generate_portfolio(pg);
-  data::YeltGenConfig yg;
-  yg.trials = 50;
-  const auto yelt = data::generate_yelt(100, yg);
-
-  EngineConfig config;
-  config.backend = Backend::Simd;
-  EXPECT_THROW((void)run_aggregate_analysis(portfolio, yelt, config),
-               ContractViolation);
 }
 
 TEST(ApplyOccurrenceLanes, MatchesScalarBitwiseBothRetentionKinds) {
@@ -340,44 +279,54 @@ void expect_identical(const EngineResult& a, const EngineResult& b,
   }
 }
 
-TEST(SimdBackend, BitIdenticalToSequentialAcrossFeatureMatrix) {
-  if (!exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
+/// Runs `run` once on the scalar reference kernel and once on the default
+/// kernel and asserts the results bit-identical.
+template <typename Run>
+void expect_kernels_agree(const Run& run, const std::string& what) {
+  const auto reference = [&] {
+    const KernelScope scalar(true);
+    return run();
+  }();
+  expect_identical(reference, run(), what);
+}
+
+TEST(VectorKernel, BitIdenticalToScalarReferenceAcrossFeatureMatrix) {
   const auto portfolio = simd_book(/*contracts=*/6, /*layers=*/3);
   const auto yelt = simd_lens(1'500);
 
   for (const bool secondary : {false, true}) {
-    for (const bool batched : {false, true}) {
-      EngineConfig config;
-      config.backend = Backend::Sequential;
-      config.secondary_uncertainty = secondary;
-      config.batch_contracts = batched;
-      const auto reference = run_aggregate_analysis(portfolio, yelt, config);
+    for (const bool oep : {false, true}) {
+      for (const bool batched : {false, true}) {
+        EngineConfig config;
+        config.secondary_uncertainty = secondary;
+        config.compute_oep = oep;
+        config.batch_contracts = batched;
+        config.backend = Backend::Sequential;
+        const auto reference = [&] {
+          const KernelScope scalar(true);
+          return run_aggregate_analysis(portfolio, yelt, config);
+        }();
+        const std::string what = std::string(secondary ? "secondary" : "means") +
+                                 (oep ? "/oep" : "/aep") +
+                                 (batched ? "/batched" : "/per-contract");
+        const auto sequential = run_aggregate_analysis(portfolio, yelt, config);
+        expect_identical(reference, sequential, "sequential/" + what);
+        EXPECT_EQ(reference.elt_lookups, sequential.elt_lookups) << what;
+        EXPECT_EQ(reference.occurrences_processed, sequential.occurrences_processed)
+            << what;
 
-      config.backend = Backend::Simd;
-      const auto simd = run_aggregate_analysis(portfolio, yelt, config);
-      const std::string what = std::string(secondary ? "secondary" : "means") +
-                               (batched ? "/batched" : "/per-contract");
-      expect_identical(reference, simd, "simd/" + what);
-      EXPECT_EQ(reference.elt_lookups, simd.elt_lookups) << what;
-      EXPECT_EQ(reference.occurrences_processed, simd.occurrences_processed) << what;
-
-      for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
-        config.backend = Backend::ThreadedSimd;
-        config.trial_grain = grain;
-        const auto threaded = run_aggregate_analysis(portfolio, yelt, config);
-        expect_identical(reference, threaded,
-                         "threaded-simd/" + what + "/grain=" + std::to_string(grain));
+        config.backend = Backend::Threaded;
+        for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
+          config.trial_grain = grain;
+          expect_identical(reference, run_aggregate_analysis(portfolio, yelt, config),
+                           "threaded/" + what + "/grain=" + std::to_string(grain));
+        }
       }
     }
   }
 }
 
-TEST(SimdBackend, LaneTailsOnHeavyAndOddHitCounts) {
-  if (!exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
+TEST(VectorKernel, LaneTailsOnHeavyAndOddHitCounts) {
   // An ELT covering the full catalogue makes every occurrence a hit, and a
   // high occurrence rate gives trials with hit counts well past the vector
   // width — including counts not divisible by it, so the scalar lane tail
@@ -394,20 +343,14 @@ TEST(SimdBackend, LaneTailsOnHeavyAndOddHitCounts) {
       config.secondary_uncertainty = secondary;
       config.batch_contracts = true;
       config.backend = Backend::Sequential;
-      const auto reference = run_aggregate_analysis(portfolio, yelt, config);
-      config.backend = Backend::Simd;
-      const auto simd = run_aggregate_analysis(portfolio, yelt, config);
-      expect_identical(reference, simd,
-                       "tails/rate=" + std::to_string(events_per_year) +
-                           (secondary ? "/secondary" : "/means"));
+      expect_kernels_agree([&] { return run_aggregate_analysis(portfolio, yelt, config); },
+                           "tails/rate=" + std::to_string(events_per_year) +
+                               (secondary ? "/secondary" : "/means"));
     }
   }
 }
 
-TEST(SimdBackend, EmptyAndDegenerateTrials) {
-  if (!exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
+TEST(VectorKernel, EmptyAndDegenerateTrials) {
   // Near-empty lens: most trials have zero occurrences (n == 0 early-out).
   const auto portfolio = simd_book(/*contracts=*/2, /*layers=*/1);
   const auto yelt = simd_lens(400, 800, /*seed=*/3, /*events_per_year=*/0.3);
@@ -415,11 +358,141 @@ TEST(SimdBackend, EmptyAndDegenerateTrials) {
   EngineConfig config;
   config.batch_contracts = true;
   config.backend = Backend::Sequential;
-  const auto reference = run_aggregate_analysis(portfolio, yelt, config);
-  config.backend = Backend::Simd;
-  const auto simd = run_aggregate_analysis(portfolio, yelt, config);
-  expect_identical(reference, simd, "sparse lens");
+  expect_kernels_agree([&] { return run_aggregate_analysis(portfolio, yelt, config); },
+                       "sparse lens");
 }
 
+TEST(VectorKernel, ScenarioSweepBitIdenticalToScalarReference) {
+  // Scaled, conditioned and dropped slots ride the vector paths; masks and
+  // multi-slot shared-gather groups take the kernel's scalar fallback.
+  const auto portfolio = simd_book(/*contracts=*/4, /*layers=*/2);
+  const auto yelt = simd_lens(900);
+  std::vector<scenario::ScenarioSpec> specs(3);
+  specs[0].name = "surge";
+  specs[0].loss_scale = 1.3;
+  specs[1].name = "exclusion";
+  specs[1].excluded_events = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89};
+  specs[2].name = "drop";
+  specs[2].dropped_contracts = {portfolio.contract(0).id()};
+
+  for (const Backend backend : kHostBackends) {
+    EngineConfig config;
+    config.backend = backend;
+    const auto reference = [&] {
+      const KernelScope scalar(true);
+      return scenario::run_scenario_sweep(portfolio, yelt, specs, config);
+    }();
+    const auto sweep = scenario::run_scenario_sweep(portfolio, yelt, specs, config);
+    const std::string what = std::string("sweep/") + to_string(backend);
+    expect_identical(reference.base, sweep.base, what + "/base");
+    ASSERT_EQ(reference.scenarios.size(), sweep.scenarios.size());
+    for (std::size_t i = 0; i < sweep.scenarios.size(); ++i) {
+      expect_identical(reference.scenarios[i], sweep.scenarios[i],
+                       what + "/" + specs[i].name);
+    }
+  }
+}
+
+TEST(VectorKernel, OutOfCoreBitIdenticalToScalarReference) {
+  // The streamed path lowers once and re-binds the plan per block.
+  const auto portfolio = simd_book(/*contracts=*/4, /*layers=*/2);
+  const auto yelt = simd_lens(700);
+  const std::string path = "/tmp/riskan_vector_kernel_ooc.yeltc";
+  save_yelt_chunked(yelt, path, 128);
+  for (const bool secondary : {false, true}) {
+    EngineConfig config;
+    config.backend = Backend::Sequential;
+    config.secondary_uncertainty = secondary;
+    const auto reference = [&] {
+      const KernelScope scalar(true);
+      return run_aggregate_analysis(portfolio, yelt, config);
+    }();
+    for (const Backend backend : kHostBackends) {
+      config.backend = backend;
+      expect_identical(reference, run_aggregate_streaming(portfolio, path, config),
+                       std::string("out-of-core/") + to_string(backend) +
+                           (secondary ? "/secondary" : "/means"));
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(VectorKernel, DistributedBitIdenticalToScalarReference) {
+  // Forked workers run Sequential and so dispatch the vector kernel; the
+  // fold reproduces the scalar reference at 0 (in-process), 2 and 4
+  // workers.
+  const auto portfolio = simd_book(/*contracts=*/3, /*layers=*/2);
+  const auto yelt = simd_lens(480);
+  std::vector<std::vector<std::byte>> encoded;
+  std::vector<dist::BlockSpec> specs;
+  for (TrialId lo = 0; lo < yelt.trials(); lo += 120) {
+    ByteWriter writer;
+    data::encode_yelt_slice(yelt, lo, lo + 120, writer);
+    specs.push_back({encoded.size(), lo, 120});
+    encoded.push_back(writer.buffer());
+  }
+  const dist::BlockFetcher fetch = [&encoded](const dist::BlockSpec& spec) {
+    return encoded[spec.id];
+  };
+
+  EngineConfig config;
+  config.backend = Backend::Sequential;
+  config.compute_oep = false;
+  config.keep_contract_ylts = false;
+  const auto reference = [&] {
+    const KernelScope scalar(true);
+    return run_aggregate_analysis(portfolio, yelt, config);
+  }();
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+    dist::DistConfig dist_config;
+    dist_config.workers = workers;
+    const auto result =
+        dist::run_distributed_aggregate(portfolio, EngineConfig{}, specs, fetch, dist_config);
+    ASSERT_EQ(result.portfolio_ylt.trials(), reference.portfolio_ylt.trials());
+    for (TrialId t = 0; t < yelt.trials(); ++t) {
+      ASSERT_EQ(result.portfolio_ylt[t], reference.portfolio_ylt[t])
+          << workers << " workers, trial " << t;
+    }
+  }
+}
+
+TEST(VectorKernel, RunReportsWhichKernelRan) {
+  const auto portfolio = simd_book(/*contracts=*/3, /*layers=*/2);
+  const auto yelt = simd_lens(800);
+  const exec::SimdDispatch dispatch = exec::simd_dispatch();
+
+  for (const bool scalar : {false, true}) {
+    const KernelScope kernel(scalar);
+    for (const Backend backend : kHostBackends) {
+      EngineConfig config;
+      config.backend = backend;
+      config.batch_contracts = true;
+      config.obs.collect_report = true;
+      const auto result = run_aggregate_analysis(portfolio, yelt, config);
+      ASSERT_NE(result.obs_report, nullptr);
+      const auto& metrics = result.obs_report->metrics;
+      const std::string what = std::string(to_string(backend)) + (scalar ? "/off" : "");
+
+      const bool vector = !scalar && dispatch.width > 0;
+      const std::string isa = vector ? dispatch.name : "scalar";
+      EXPECT_GE(metrics.counter_value("exec.simd.isa." + isa), 1.0) << what;
+      const obs::GaugeValue* width = metrics.gauge("exec.simd.width");
+      ASSERT_NE(width, nullptr) << what;
+      EXPECT_EQ(width->value, vector ? static_cast<double>(dispatch.width) : 0.0) << what;
+      if (vector) {
+        EXPECT_GT(metrics.counter_value("exec.simd.vector_occurrences"), 0.0) << what;
+        EXPECT_GT(metrics.counter_value("exec.simd.sampler.fast"), 0.0) << what;
+        EXPECT_DOUBLE_EQ(metrics.counter_value("exec.simd.isa.scalar"), 0.0) << what;
+      } else {
+        EXPECT_GT(metrics.counter_value("exec.simd.scalar_occurrences"), 0.0) << what;
+        for (const char* lane : {"exec.simd.vector_occurrences",
+                                 "exec.simd.tail_occurrences", "exec.simd.sampler.fast",
+                                 "exec.simd.sampler.tail"}) {
+          EXPECT_DOUBLE_EQ(metrics.counter_value(lane), 0.0) << what << " " << lane;
+        }
+      }
+    }
+  }
+}
 }  // namespace
 }  // namespace riskan::core

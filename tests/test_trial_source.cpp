@@ -11,7 +11,6 @@
 
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
-#include "core/simd.hpp"
 #include "core/streaming.hpp"
 #include "data/chunked_file.hpp"
 #include "data/serialize.hpp"
@@ -20,6 +19,7 @@
 #include "util/bytes.hpp"
 #include "util/io_error.hpp"
 #include "util/require.hpp"
+#include "kernel_support.hpp"
 
 namespace riskan {
 namespace {
@@ -363,10 +363,6 @@ class StreamedEquivalence
 
 TEST_P(StreamedEquivalence, BitIdenticalAcrossBackendsBatchingSecondary) {
   const auto [backend, batch, secondary] = GetParam();
-  if ((backend == Backend::Simd || backend == Backend::ThreadedSimd) &&
-      !core::exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
   const auto w = make_workload();
   const std::string path = "/tmp/riskan_equiv_" + std::to_string(static_cast<int>(backend)) +
                            (batch ? "_b" : "_n") + (secondary ? "_s" : "_m") + ".yeltc";
@@ -393,13 +389,32 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(core::kAllBackends), ::testing::Bool(),
                        ::testing::Bool()));
 
-// The vectorized rows of the same matrix — exercising the out-of-core
-// rebind path (plan lowered once, re-bound per block) under the Simd
-// executors; skipped on builds/hosts without a wide ISA.
-INSTANTIATE_TEST_SUITE_P(
-    SimdMatrix, StreamedEquivalence,
-    ::testing::Combine(::testing::ValuesIn(core::kSimdBackends), ::testing::Bool(),
-                       ::testing::Bool()));
+// The scalar-reference rows of the same matrix: the streamed out-of-core
+// path (plan lowered once, re-bound per block) on the default kernel must
+// reproduce the in-memory run of the scalar reference kernel.
+TEST(StreamedEquivalence, DefaultKernelMatchesScalarReference) {
+  const auto w = make_workload();
+  const std::string path = "/tmp/riskan_equiv_scalar_ref.yeltc";
+  core::save_yelt_chunked(w.yelt, path, 128);
+  for (const bool batch : {false, true}) {
+    for (const bool secondary : {false, true}) {
+      EngineConfig config;
+      config.batch_contracts = batch;
+      config.secondary_uncertainty = secondary;
+      config.backend = Backend::Sequential;
+      const auto reference = [&] {
+        const test_support::KernelScope scalar(true);
+        return core::run_aggregate_analysis(w.portfolio, w.yelt, config);
+      }();
+      for (const Backend backend : core::kHostBackends) {
+        config.backend = backend;
+        expect_equal_results(reference,
+                             core::run_aggregate_streaming(w.portfolio, path, config));
+      }
+    }
+  }
+  remove_file(path);
+}
 
 TEST(StreamedEquivalence, TrialBaseOffsetsCompose) {
   // A streamed run under a global trial_base matches the in-memory run
@@ -425,10 +440,6 @@ class StreamedSweep : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(StreamedSweep, BitIdenticalToInMemorySweep) {
   const Backend backend = GetParam();
-  if ((backend == Backend::Simd || backend == Backend::ThreadedSimd) &&
-      !core::exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
   const auto w = make_workload(4, 400);
   const std::string path =
       "/tmp/riskan_sweep_" + std::to_string(static_cast<int>(backend)) + ".yeltc";
@@ -463,8 +474,38 @@ TEST_P(StreamedSweep, BitIdenticalToInMemorySweep) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, StreamedSweep,
                          ::testing::ValuesIn(core::kAllBackends));
-INSTANTIATE_TEST_SUITE_P(SimdBackends, StreamedSweep,
-                         ::testing::ValuesIn(core::kSimdBackends));
+
+TEST(StreamedSweepKernels, DefaultKernelMatchesScalarReference) {
+  // Streamed sweeps on the default kernel reproduce the scalar reference
+  // kernel's in-memory sweep, scenario by scenario.
+  const auto w = make_workload(4, 400);
+  const std::string path = "/tmp/riskan_sweep_scalar_ref.yeltc";
+  core::save_yelt_chunked(w.yelt, path, 150);
+
+  std::vector<scenario::ScenarioSpec> specs(2);
+  specs[0].name = "surge";
+  specs[0].loss_scale = 1.25;
+  specs[1].name = "exclusions";
+  specs[1].excluded_events = {1, 3, 5, 7, 11, 42};
+
+  EngineConfig config;
+  config.backend = Backend::Sequential;
+  const auto reference = [&] {
+    const test_support::KernelScope scalar(true);
+    return scenario::run_scenario_sweep(w.portfolio, w.yelt, specs, config);
+  }();
+  for (const Backend backend : core::kHostBackends) {
+    config.backend = backend;
+    data::ChunkedFileSource source(path);
+    const auto streamed = scenario::run_scenario_sweep(w.portfolio, source, specs, config);
+    expect_equal_results(reference.base, streamed.base);
+    ASSERT_EQ(reference.scenarios.size(), streamed.scenarios.size());
+    for (std::size_t s = 0; s < reference.scenarios.size(); ++s) {
+      expect_equal_results(reference.scenarios[s], streamed.scenarios[s]);
+    }
+  }
+  remove_file(path);
+}
 
 TEST(StreamedBatch, MultiBlockSourceThroughRunPortfolioBatch) {
   const auto w = make_workload(3, 250);

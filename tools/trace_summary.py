@@ -8,7 +8,9 @@ and prints:
     on the same pid/tid), aggregated per span name;
   * per-lane utilisation: for every pid (0 = engine, 1+k = dist worker k),
     the fraction of the trace's wall-clock covered by at least one span,
-    plus the lane's instant-event counts (lease grants, expiries, ...).
+    plus the lane's instant-event counts (lease grants, expiries, ...);
+  * which stage-2 kernel ran: the host executors mark every execution with
+    an exec.simd.isa.<scalar|avx2|neon> instant, tallied on one line.
 
 Usage:  python3 tools/trace_summary.py trace.json [--top N]
 """
@@ -104,6 +106,18 @@ def lane_utilisation(spans, instants):
     return lanes, wall
 
 
+KERNEL_PREFIX = "exec.simd.isa."
+
+
+def kernel_tally(instants):
+    """Executions per stage-2 kernel, from the executors' ISA instants."""
+    tally = defaultdict(int)
+    for i in instants:
+        if i["name"].startswith(KERNEL_PREFIX):
+            tally[i["name"][len(KERNEL_PREFIX):]] += 1
+    return tally
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", help="chrome-trace JSON file")
@@ -124,6 +138,10 @@ def main():
 
     print(f"{args.trace}: {len(spans)} spans, {len(instants)} instants, "
           f"{len(lanes)} lanes, wall {wall / 1e3:.3f} ms")
+    kernels = kernel_tally(instants)
+    if kernels:
+        print("stage-2 kernel: " +
+              ", ".join(f"{k}×{c}" for k, c in sorted(kernels.items())))
     print()
     print(f"{'span':<34} {'count':>7} {'total ms':>10} {'self ms':>10} {'self %':>7}")
     total_self = sum(selfs.values()) or 1.0
